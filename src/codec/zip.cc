@@ -727,14 +727,17 @@ namespace
  * Shared header walk for both delta decoders: validates the raw size
  * against the expansion bound, the chunk count against the raw size,
  * and every chunk's compressed extent against the remaining input.
- * Returns the chunk sizes and leaves @p pos at the first stream byte.
+ * Stores nothing: @p table is left at the chunk-size table (re-read
+ * with getLeb by the decode loop; every entry is validated here) and
+ * @p pos at the first stream byte.
  */
 std::uint64_t
 parseDeltaHeader(const std::uint8_t *compressed, std::size_t size,
-                 std::size_t &pos, std::vector<std::size_t> &chunkSizes)
+                 std::size_t &pos, std::size_t &table,
+                 std::uint64_t &chunks)
 {
     const std::uint64_t rawSize = getLeb(compressed, size, pos);
-    const std::uint64_t chunks = getLeb(compressed, size, pos);
+    chunks = getLeb(compressed, size, pos);
     // Every chunk needs at least one header byte, so the count is
     // bounded by the input size — check that before trusting it in
     // the expansion bound (per-chunk slack: each chunk stream carries
@@ -746,14 +749,10 @@ parseDeltaHeader(const std::uint8_t *compressed, std::size_t size,
     if (rawSize > size * kMaxExpansionPerByte +
                       (chunks + 1) * 8 * kMaxMatch)
         throw std::runtime_error("zip: truncated stream");
-    chunkSizes.clear();
-    chunkSizes.reserve(static_cast<std::size_t>(chunks));
+    table = pos;
     std::uint64_t total = 0;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        const std::uint64_t s = getLeb(compressed, size, pos);
-        total += s;
-        chunkSizes.push_back(static_cast<std::size_t>(s));
-    }
+    for (std::uint64_t c = 0; c < chunks; ++c)
+        total += getLeb(compressed, size, pos);
     if (total > size - pos)
         throw std::runtime_error("zip: truncated stream");
     return rawSize;
@@ -772,24 +771,27 @@ zipDecompressDeltaInto(const std::uint8_t *compressed, std::size_t size,
                 "zip: injected decode fault (codec.decompress)");
     }
     std::size_t pos = 0;
-    std::vector<std::size_t> chunkSizes;
+    std::size_t table = 0;
+    std::uint64_t chunks = 0;
     const std::uint64_t rawSize =
-        parseDeltaHeader(compressed, size, pos, chunkSizes);
+        parseDeltaHeader(compressed, size, pos, table, chunks);
     out.resize(rawSize);
-    for (std::size_t c = 0; c < chunkSizes.size(); ++c) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t chunkSize = static_cast<std::size_t>(
+            getLeb(compressed, size, table));
         const std::size_t start = c * kDeltaChunk;
         const std::size_t expect =
             std::min(kDeltaChunk, static_cast<std::size_t>(rawSize) -
                                       start);
         std::size_t cpos = pos;
         const std::uint64_t crs =
-            getLeb(compressed, pos + chunkSizes[c], cpos);
+            getLeb(compressed, pos + chunkSize, cpos);
         if (crs != expect)
             throw std::runtime_error("zip: delta chunk size mismatch");
-        decodeBody(compressed, pos + chunkSizes[c], cpos,
+        decodeBody(compressed, pos + chunkSize, cpos,
                    out.data() + start, expect,
                    deltaDict(prevRaw, start, rawSize));
-        pos += chunkSizes[c];
+        pos += chunkSize;
     }
 }
 
@@ -799,24 +801,26 @@ zipDecompressDeltaReferenceInto(const std::uint8_t *compressed,
                                 Blob &out)
 {
     std::size_t pos = 0;
-    std::vector<std::size_t> chunkSizes;
+    std::size_t table = 0;
+    std::uint64_t chunks = 0;
     const std::uint64_t rawSize =
-        parseDeltaHeader(compressed, size, pos, chunkSizes);
+        parseDeltaHeader(compressed, size, pos, table, chunks);
     out.clear();
     out.reserve(rawSize);
     Blob chunk;
-    for (std::size_t c = 0; c < chunkSizes.size(); ++c) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t chunkSize = static_cast<std::size_t>(
+            getLeb(compressed, size, table));
         const std::size_t start = c * kDeltaChunk;
         const std::size_t expect =
             std::min(kDeltaChunk, static_cast<std::size_t>(rawSize) -
                                       start);
-        zipDecompressReferenceInto(compressed + pos, chunkSizes[c],
-                                   chunk,
+        zipDecompressReferenceInto(compressed + pos, chunkSize, chunk,
                                    deltaDict(prevRaw, start, rawSize));
         if (chunk.size() != expect)
             throw std::runtime_error("zip: delta chunk size mismatch");
         out.insert(out.end(), chunk.begin(), chunk.end());
-        pos += chunkSizes[c];
+        pos += chunkSize;
     }
     if (out.size() != rawSize)
         throw std::runtime_error("zip: size mismatch");

@@ -779,7 +779,9 @@ CampaignEngine::run()
 
                 try {
                     engine.run(
-                        *lib, order, blockSize_, stopping,
+                        *lib, order, blockSize_,
+                        stopping ? BarrierMode::stopEarly
+                                 : BarrierMode::cutting,
                         [&](std::size_t, const WindowResult *row) {
                             // Contained per-cell faults: the fault
                             // record is visible before the faulting

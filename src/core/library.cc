@@ -1,5 +1,6 @@
 #include "core/library.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -269,7 +270,7 @@ LivePointLibrary::releaseRecord(std::size_t i) const
 LivePoint
 LivePointLibrary::get(std::size_t i) const
 {
-    Blob scratch;
+    LivePointDecodeScratch scratch;
     LivePoint p;
     decodeInto(i, scratch, p);
     return p;
@@ -301,18 +302,18 @@ LivePointLibrary::decodeOne(std::size_t filePos, Blob &out,
             strfmt("live-point %zu: raw checksum mismatch", filePos));
 }
 
-void
+std::size_t
 LivePointLibrary::materializeRaw(std::size_t filePos,
                                  LivePointDecodeScratch &scratch) const
 {
     const RecordRef &r0 = refs_[filePos];
     if (!(r0.flags & kFlagDelta)) {
         decodeOne(filePos, scratch.payload, ByteSpan());
-        return;
+        return 1;
     }
     // Collect the chain top-down, stopping at a keyframe or at the
-    // scratch cache (stored-order replay hits the cache every time —
-    // the previous point is this one's base).
+    // scratch cache (file-order decoding hits the cache every time —
+    // the previous record is this one's base).
     scratch.chain.clear();
     std::size_t p = filePos;
     bool fromCache = false;
@@ -350,16 +351,17 @@ LivePointLibrary::materializeRaw(std::size_t filePos,
     }
     if (cur != &scratch.payload)
         std::swap(scratch.payload, *cur);
+    return scratch.chain.size();
 }
 
-void
+std::size_t
 LivePointLibrary::decodeInto(std::size_t i,
                              LivePointDecodeScratch &scratch,
                              LivePoint &out) const
 {
     const std::size_t p = pos(i);
     const RecordRef &ref = refs_[p];
-    materializeRaw(p, scratch);
+    const std::size_t records = materializeRaw(p, scratch);
     LivePoint::deserializeInto(scratch.payload, out);
     if (out.index != ref.index)
         throw std::runtime_error(
@@ -371,16 +373,30 @@ LivePointLibrary::decodeInto(std::size_t i,
         // bookkeeping; their payload is never read as a base.
         scratch.cachedPos = p;
     }
+    return records;
 }
 
 void
-LivePointLibrary::decodeInto(std::size_t i, Blob &scratch,
-                             LivePoint &out) const
+LivePointLibrary::reserveScratch(LivePointDecodeScratch &scratch) const
 {
-    LivePointDecodeScratch s;
-    s.payload.swap(scratch);
-    decodeInto(i, s, out);
-    s.payload.swap(scratch);
+    std::uint64_t maxRaw = 0;
+    std::size_t maxChain = 0;
+    for (std::size_t p = 0; p < refs_.size(); ++p) {
+        maxRaw = std::max(maxRaw, refs_[p].rawSize);
+        // Every chain ends at a keyframe: appended deltas point
+        // backwards, and load() ran validateChains().
+        std::size_t len = 1;
+        for (std::size_t q = p; refs_[q].flags & kFlagDelta; ++len)
+            q = static_cast<std::size_t>(refs_[q].basePos);
+        maxChain = std::max(maxChain, len);
+    }
+    const std::size_t raw = static_cast<std::size_t>(maxRaw);
+    scratch.payload.reserve(raw);
+    if (anyDelta_) {
+        scratch.prevRaw.reserve(raw);
+        scratch.tmp.reserve(raw);
+        scratch.chain.reserve(maxChain);
+    }
 }
 
 void

@@ -94,13 +94,15 @@ struct LivePoint
 };
 
 /**
- * Reusable per-consumer decode state for LivePointLibrary::decodeInto:
- * the decompressed payload, which doubles as the chain cache a delta
- * library needs — after a decode, @c payload holds the raw bytes of
- * the record just decoded (@c cachedPos), so replaying records in
- * stored order rebuilds each delta from its already-materialized base
- * instead of re-walking the whole chain. Plain libraries use only
- * @c payload; the work buffers stay empty.
+ * Reusable per-consumer decode state for LivePointLibrary::decodeInto.
+ * @c payload holds the raw bytes of the record decoded last
+ * (@c cachedPos) and doubles as a delta library's chain cache: a delta
+ * whose base is the cached record is rebuilt from it in one step
+ * instead of re-walking its chain back to the keyframe. The cache
+ * only hits when one consumer decodes chain-linked records back to
+ * back, which is why the replay engine gives every decode producer
+ * its own scratch and feeds it records in file order. Plain libraries
+ * use only @c payload; the work buffers stay empty.
  */
 struct LivePointDecodeScratch
 {
@@ -152,20 +154,22 @@ class LivePointLibrary
      * caller-owned buffers, reusing their storage. @p scratch holds
      * the decompressed bytes between calls; thread-safe for
      * concurrent calls with distinct buffers. For a delta record the
-     * chain is rebuilt from its nearest keyframe (or from the scratch
-     * cache when the caller last decoded the base — the stored-order
-     * replay pattern), and dictionary/delta records are verified
-     * against their stored raw checksum before deserializing.
+     * chain is rebuilt from its nearest keyframe, or from the scratch
+     * cache when the caller last decoded a record on the chain, and
+     * dictionary/delta records are verified against their stored raw
+     * checksum before deserializing. Returns the records decompressed:
+     * 1 for a plain record or a delta whose base is cached, 0 for a
+     * delta the cache already holds, up to the chain length for a
+     * cold delta.
      */
-    void decodeInto(std::size_t i, LivePointDecodeScratch &scratch,
-                    LivePoint &out) const;
+    std::size_t decodeInto(std::size_t i, LivePointDecodeScratch &scratch,
+                           LivePoint &out) const;
 
     /**
-     * Compatibility overload with a bare payload buffer. Identical
-     * for plain records; a delta record allocates chain buffers per
-     * call — hot paths use the scratch-struct overload.
+     * Size @p scratch for this library's largest record and longest
+     * delta chain, so decodeInto() in any order never grows it.
      */
-    void decodeInto(std::size_t i, Blob &scratch, LivePoint &out) const;
+    void reserveScratch(LivePointDecodeScratch &scratch) const;
 
     /** Compress and append a point (primed with the dictionary, if set). */
     void add(const LivePoint &point);
@@ -208,6 +212,23 @@ class LivePointLibrary
 
     /** Stored points that are delta-encoded. */
     std::size_t deltaCount() const;
+
+    /**
+     * File (append) position of the @p i-th stored point. Delta
+     * chains link records in file order, so decoding in ascending
+     * file position keeps every delta's base one step behind it.
+     */
+    std::size_t filePosition(std::size_t i) const { return pos(i); }
+
+    /**
+     * File position of the @p i-th stored point's delta base, or ~0
+     * when the record is not delta-encoded.
+     */
+    std::uint64_t deltaBasePosition(std::size_t i) const
+    {
+        const RecordRef &r = refs_[pos(i)];
+        return (r.flags & kFlagDelta) ? r.basePos : ~std::uint64_t(0);
+    }
 
     /**
      * Resident-budget charge of the @p i-th stored point: compressed
@@ -372,8 +393,8 @@ class LivePointLibrary
     std::vector<std::uint32_t> inverseOrder() const;
 
     ByteSpan recordAt(std::size_t filePos) const;
-    void materializeRaw(std::size_t filePos,
-                        LivePointDecodeScratch &scratch) const;
+    std::size_t materializeRaw(std::size_t filePos,
+                               LivePointDecodeScratch &scratch) const;
     void decodeOne(std::size_t filePos, Blob &out, ByteSpan prev) const;
     void validateChains();
     bool usesCrossPointFeatures() const;

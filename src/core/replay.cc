@@ -32,9 +32,11 @@ contextBindings(const Program &prog, MemPort &port, MemHierarchy &hier,
 unsigned
 autoProducers(unsigned workers)
 {
-    // Decoding one point is a fraction of simulating it, so a few
-    // producers keep many workers fed; one is enough to pipeline a
-    // single worker.
+    // Decoding one point is a fraction of simulating it — for delta
+    // libraries too, since the file-order schedule rebuilds each delta
+    // from its producer's last record instead of walking the chain —
+    // so a few producers keep many workers fed; one is enough to
+    // pipeline a single worker.
     return std::max(1u, (workers + 2) / 3);
 }
 
@@ -276,6 +278,8 @@ ReplayEngine::ReplayEngine(const Program &prog,
     ctx_.reserve(threads_);
     for (unsigned w = 0; w < threads_; ++w)
         ctx_.push_back(std::make_unique<ReplayContext>(prog_, cfgs_));
+    ring_.resize(ringSlots_);
+    producerScratch_.resize(producers_);
     // Caller contexts are built lazily: only simulateOne() needs them.
     callerCtx_.resize(cfgs_.size());
     faults_.resize(cfgs_.size());
@@ -310,7 +314,9 @@ ReplayEngine::simulateOne(const LivePointLibrary &lib, std::size_t pos,
     if (!callerCtx_[cfgIdx])
         callerCtx_[cfgIdx] =
             std::make_unique<ReplayContext>(prog_, cfgs_[cfgIdx]);
-    lib.decodeInto(pos, callerScratch_, callerPoint_);
+    recordsDecoded_.fetch_add(
+        lib.decodeInto(pos, callerScratch_, callerPoint_),
+        std::memory_order_relaxed);
     bytesDecoded_.fetch_add(callerScratch_.payload.size(),
                             std::memory_order_relaxed);
     pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
@@ -321,7 +327,7 @@ ReplayEngine::simulateOne(const LivePointLibrary &lib, std::size_t pos,
 void
 ReplayEngine::run(
     const LivePointLibrary &lib, const std::vector<std::size_t> &order,
-    std::size_t blockSize, bool stopEarly,
+    std::size_t blockSize, BarrierMode mode,
     const std::function<void(std::size_t, const WindowResult *)>
         &foldPoint,
     const std::function<std::uint64_t(std::size_t)> &foldBarrier,
@@ -340,21 +346,59 @@ ReplayEngine::run(
     const std::size_t nc = cfgs_.size();
     const std::size_t S = ringSlots_;
     const std::uint64_t allMask = replayMaskAll(nc);
+    const bool stopEarly = mode == BarrierMode::stopEarly;
+    const std::uint64_t budget = residentBudget_;
 
-    // The bounded decode ring. Slot j cycles through points first+j,
-    // first+j+S, ...; nextFill sequences the producers, holds tells a
-    // waiting worker its point has arrived.
-    struct Slot
-    {
-        LivePoint point;
-        LivePointDecodeScratch scratch;
-        std::size_t holds = 0;
-        std::size_t nextFill = 0;
-        bool full = false;
+    // The decode schedule: schedule position j (first <= j < n)
+    // decodes and simulates fold position sched[j - first]. Each span
+    // runs in ascending library file position, so a delta record's
+    // base is decoded right before it. A span is the whole run when
+    // the barrier never cuts, and one fold block otherwise: a cut
+    // then saves every block behind it, and budget admission and the
+    // fold-frontier rule, which count schedule positions, cover
+    // exactly the fold block they name.
+    const std::size_t span =
+        mode == BarrierMode::passive && !budget ? n - first : blockSize;
+    std::vector<std::size_t> sched(n - first);
+    for (std::size_t j = first; j < n; ++j)
+        sched[j - first] = j;
+    auto fileOrder = [&lib, &order](std::size_t a, std::size_t b) {
+        const std::size_t pa = lib.filePosition(order[a]);
+        const std::size_t pb = lib.filePosition(order[b]);
+        return pa != pb ? pa < pb : a < b;
     };
-    std::vector<Slot> slots(S);
+    for (std::size_t s0 = first; s0 < n; s0 += span)
+        std::sort(sched.begin() + (s0 - first),
+                  sched.begin() + (std::min(n, s0 + span) - first),
+                  fileOrder);
+    auto scheduled = [&sched, first](std::size_t j) {
+        return sched[j - first];
+    };
+
+    // Producers claim whole runs of schedule positions. A run starts
+    // wherever a record does not extend the chain of the record
+    // scheduled before it, so each chain stretch decodes through one
+    // producer's warm cache: a keyframe, then one step per delta.
+    std::vector<std::size_t> runStart;
+    runStart.reserve(n - first + 1);
+    for (std::size_t j = first; j < n; ++j)
+        if (j == first ||
+            lib.deltaBasePosition(order[scheduled(j)]) !=
+                lib.filePosition(order[scheduled(j - 1)]))
+            runStart.push_back(j);
+    runStart.push_back(n);
+
+    // The bounded decode ring: slot j % S cycles through schedule
+    // positions j, j + S, ... A halted run may leave slots full.
+    for (Slot &s : ring_)
+        s.full = false;
     for (std::size_t j = 0; j < S; ++j)
-        slots[(first + j) % S].nextFill = first + j;
+        ring_[(first + j) % S].nextFill = first + j;
+    // Cached records belong to the previous run's library.
+    for (LivePointDecodeScratch &scratch : producerScratch_) {
+        scratch.resetCache();
+        lib.reserveScratch(scratch);
+    }
 
     std::mutex ringM;
     std::condition_variable cvFill;  //!< producers wait for a free slot
@@ -367,10 +411,9 @@ ReplayEngine::run(
 
     // Resident-budget window (budget != 0): bytes a point pins from
     // producer admission (compressed record + decoded image) until
-    // the fold barrier passes it. Admission is ticketed in point
+    // the fold barrier passes it. Admission is ticketed in schedule
     // order, so which points wait depends only on the deterministic
     // byte sizes, never on thread timing.
-    const std::uint64_t budget = residentBudget_;
     std::mutex gateM;
     std::condition_variable cvAdmit;
     std::size_t admitNext = first;   //!< guarded by gateM
@@ -384,7 +427,7 @@ ReplayEngine::run(
         return lib.chargeBytes(order[k]);
     };
 
-    std::atomic<std::size_t> decodeNext{first};
+    std::atomic<std::size_t> runNext{0};
     std::atomic<std::size_t> simNext{first};
     std::atomic<bool> stop{false};
     // Configurations workers still replay. The fold barrier retires
@@ -424,64 +467,75 @@ ReplayEngine::run(
         cvAdmit.notify_all();
     };
 
-    auto producer = [&]() {
-        while (!stop.load(std::memory_order_relaxed)) {
-            const std::size_t k = decodeNext.fetch_add(1);
-            if (k >= n)
-                return;
-            if (budget) {
-                const std::uint64_t b = pointBytes(k);
-                {
-                    std::unique_lock<std::mutex> lk(gateM);
-                    cvAdmit.wait(lk, [&]() {
-                        if (stop.load())
-                            return true;
-                        if (admitNext != k)
-                            return false;
-                        if (residentNow == 0 ||
-                            residentNow + b <= budget)
-                            return true;
-                        // The fold-frontier block must always admit:
-                        // the barrier cannot release bytes until its
-                        // whole block is simulated and folded.
-                        const std::size_t frontier = foldFloor.load();
-                        return k <
-                               (frontier / blockSize + 1) * blockSize;
-                    });
-                    if (stop.load())
-                        return;
-                    residentNow += b;
-                    admitNext = k + 1;
-                    if (residentNow >
-                        peakResidentBytes_.load(
-                            std::memory_order_relaxed))
-                        peakResidentBytes_.store(
-                            residentNow, std::memory_order_relaxed);
-                }
-                cvAdmit.notify_all();
-                // Page-in hint ahead of the simulation claim counter.
-                lib.prefetchRecord(order[k]);
-            }
-            Slot &s = slots[k % S];
+    // Admit, decode, and publish schedule position j; false when the
+    // run is halting.
+    auto produce = [&](std::size_t j,
+                       LivePointDecodeScratch &scratch) -> bool {
+        const std::size_t k = scheduled(j);
+        if (budget) {
+            const std::uint64_t b = pointBytes(k);
             {
-                std::unique_lock<std::mutex> lk(ringM);
-                cvFill.wait(lk, [&]() {
-                    return stop.load() || (!s.full && s.nextFill == k);
+                std::unique_lock<std::mutex> lk(gateM);
+                cvAdmit.wait(lk, [&]() {
+                    if (stop.load())
+                        return true;
+                    if (admitNext != j)
+                        return false;
+                    if (residentNow == 0 || residentNow + b <= budget)
+                        return true;
+                    // The fold-frontier block must always admit: the
+                    // barrier cannot release bytes until its whole
+                    // block is simulated and folded.
+                    const std::size_t frontier = foldFloor.load();
+                    return j < (frontier / blockSize + 1) * blockSize;
                 });
                 if (stop.load())
+                    return false;
+                residentNow += b;
+                admitNext = j + 1;
+                if (residentNow >
+                    peakResidentBytes_.load(std::memory_order_relaxed))
+                    peakResidentBytes_.store(residentNow,
+                                             std::memory_order_relaxed);
+            }
+            cvAdmit.notify_all();
+            // Page-in hint ahead of the simulation claim counter.
+            lib.prefetchRecord(order[k]);
+        }
+        Slot &s = ring_[j % S];
+        {
+            std::unique_lock<std::mutex> lk(ringM);
+            cvFill.wait(lk, [&]() {
+                return stop.load() || (!s.full && s.nextFill == j);
+            });
+            if (stop.load())
+                return false;
+        }
+        // The slot is exclusively ours until marked full.
+        recordsDecoded_.fetch_add(lib.decodeInto(order[k], scratch,
+                                                 s.point),
+                                  std::memory_order_relaxed);
+        bytesDecoded_.fetch_add(scratch.payload.size(),
+                                std::memory_order_relaxed);
+        pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
+        {
+            std::lock_guard<std::mutex> lk(ringM);
+            s.full = true;
+            s.holds = j;
+        }
+        cvReady.notify_all();
+        return true;
+    };
+
+    auto producer = [&](unsigned p) {
+        LivePointDecodeScratch &scratch = producerScratch_[p];
+        while (!stop.load(std::memory_order_relaxed)) {
+            const std::size_t r = runNext.fetch_add(1);
+            if (r + 1 >= runStart.size())
+                return;
+            for (std::size_t j = runStart[r]; j < runStart[r + 1]; ++j)
+                if (!produce(j, scratch))
                     return;
-            }
-            // The slot is exclusively ours until marked full.
-            lib.decodeInto(order[k], s.scratch, s.point);
-            bytesDecoded_.fetch_add(s.scratch.payload.size(),
-                                    std::memory_order_relaxed);
-            pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lk(ringM);
-                s.full = true;
-                s.holds = k;
-            }
-            cvReady.notify_all();
         }
     };
 
@@ -525,29 +579,32 @@ ReplayEngine::run(
     auto worker = [&](unsigned w) {
         ReplayContext &ctx = *ctx_[w];
         while (!stop.load(std::memory_order_relaxed)) {
-            const std::size_t k = simNext.fetch_add(1);
-            if (k >= n)
+            const std::size_t j = simNext.fetch_add(1);
+            if (j >= n)
                 return;
             if (stopEarly) {
                 // Stay near the fold frontier so a satisfied
-                // confidence check actually saves simulation work.
+                // confidence check actually saves simulation work
+                // (spans are fold blocks here, so schedule position
+                // j belongs to fold block j / blockSize).
                 std::unique_lock<std::mutex> lk(foldM);
                 cvFoldProgress.wait(lk, [&]() {
                     return stop.load() ||
-                           k < foldedPoints + 2 * blockSize;
+                           j < foldedPoints + 2 * blockSize;
                 });
                 if (stop.load())
                     return;
             }
-            Slot &s = slots[k % S];
+            Slot &s = ring_[j % S];
             {
                 std::unique_lock<std::mutex> lk(ringM);
                 cvReady.wait(lk, [&]() {
-                    return stop.load() || (s.full && s.holds == k);
+                    return stop.load() || (s.full && s.holds == j);
                 });
                 if (stop.load())
                     return;
             }
+            const std::size_t k = scheduled(j);
             WindowResult *out = resultRow(k);
             if (nc == 1) {
                 if (!cellGate(k, 0)) {
@@ -580,7 +637,7 @@ ReplayEngine::run(
             {
                 std::lock_guard<std::mutex> lk(ringM);
                 s.full = false;
-                s.nextFill = k + S;
+                s.nextFill = j + S;
             }
             cvFill.notify_all();
             const std::size_t b = k / blockSize;
@@ -594,7 +651,7 @@ ReplayEngine::run(
     const std::function<void(unsigned)> job = [&](unsigned id) {
         try {
             if (id < producers_)
-                producer();
+                producer(id);
             else if (id < producers_ + threads_)
                 worker(id - producers_);
             // A shared pool may be wider than this run needs; the

@@ -17,9 +17,14 @@
  *  - **Decode pipeline.** Dedicated producer threads decompress and
  *    deserialize points into a bounded ring of reusable slot buffers,
  *    so simulation workers never block on the library codec.
- *  - **Work stealing.** Points are claimed from an atomic counter, so
- *    a straggling point never serializes the tail the way static
- *    striding does.
+ *  - **Chain-coherent decode schedule.** Points are decoded and
+ *    simulated span by span in library file order, not in fold
+ *    order, and each producer keeps its own chain cache, so a delta
+ *    record is rebuilt from the base its producer decoded just before
+ *    it instead of re-walking its chain to the keyframe.
+ *  - **Work stealing.** Schedule positions are claimed from atomic
+ *    counters, so a straggling point never serializes the tail the
+ *    way static striding does.
  *  - **Block-synchronous folding.** Results are folded on the calling
  *    thread in deterministic block order; confidence checks (early
  *    stopping) happen at block barriers, and the barrier can retire
@@ -69,6 +74,37 @@ replayMaskAll(std::size_t nc)
 std::vector<std::size_t> replayOrder(std::size_t n,
                                      std::uint64_t shuffleSeed);
 
+/**
+ * What a run's fold barrier may do to the work still ahead of it. The
+ * engine decodes and simulates each *span* of fold positions in
+ * library file order (see ReplayEngine::run); the mode picks the span.
+ * Results never depend on it, only on how much work a cut saves.
+ */
+enum class BarrierMode
+{
+    /**
+     * The barrier never retires a configuration or stops the run: the
+     * whole run is one span. The fastest schedule for delta libraries
+     * (every delta decodes from the base decoded just before it), but
+     * folding mostly waits for the end of the run.
+     */
+    passive,
+
+    /**
+     * The barrier may retire configurations or stop the run (campaign
+     * cells, replay budgets, cancellation, per-barrier manifests):
+     * each fold block is one span, so a cut saves the blocks behind
+     * it. Workers run ahead freely.
+     */
+    cutting,
+
+    /**
+     * As cutting, and workers are throttled to stay near the fold
+     * frontier, so a satisfied confidence check stops early.
+     */
+    stopEarly
+};
+
 struct ReplayEngineOptions
 {
     unsigned threads = 1;       //!< simulation workers
@@ -78,10 +114,12 @@ struct ReplayEngineOptions
 
     /**
      * Resident-budget streaming mode (0 = off). A nonzero budget
-     * bounds the engine's in-flight window: each point is charged
-     * its compressed + raw bytes — summed over its delta chain when
-     * the library delta-encodes, since decoding a delta point
-     * materializes its bases — when a decode producer admits it
+     * makes every fold block its own decode span (whatever the
+     * BarrierMode) and bounds the engine's in-flight window: each
+     * point is charged its compressed + raw bytes — summed over its
+     * delta chain when the library delta-encodes, since decoding a
+     * delta point may materialize its bases — when a decode producer
+     * admits it
      * (with a backend prefetch hint issued ahead of the simulation
      * claim counter) and credited back when the fold barrier passes
      * it (with a release hint, so a mapped backend's pages can be
@@ -266,6 +304,16 @@ class ReplayEngine
         return pointsDecoded_.load(std::memory_order_relaxed);
     }
 
+    /**
+     * Records decompressed so far: one per point plus every extra
+     * delta-chain step a decode walked. Equals pointsDecoded() when
+     * each delta was rebuilt from the base decoded just before it.
+     */
+    std::uint64_t recordsDecoded() const
+    {
+        return recordsDecoded_.load(std::memory_order_relaxed);
+    }
+
     /** (point, config) replays executed so far, across all calls. */
     std::uint64_t replaysExecuted() const
     {
@@ -317,14 +365,21 @@ class ReplayEngine
      * runs after each block of @p blockSize folds and returns the mask
      * of configurations to keep replaying — 0 stops the run, dropped
      * bits retire converged configurations so workers spend the freed
-     * time on the rest. With @p stopEarly, workers are throttled to
-     * stay near the fold frontier so stopping actually saves work;
-     * without it they free-run to the end. @p plan (optional) offsets
-     * the run for a campaign resume.
+     * time on the rest. @p plan (optional) offsets the run for a
+     * campaign resume.
+     *
+     * The fold order is fixed; the decode order is not. The engine
+     * splits the positions into spans — one fold block each, or the
+     * whole run when @p mode is passive and no resident budget is set
+     * — and decodes and simulates every span in ascending library
+     * file position. Results land in their fold rows, so estimates,
+     * stopping points, and trajectories are bit-identical under every
+     * mode; @p mode only decides how much work a cut saves (see
+     * BarrierMode).
      */
     void run(const LivePointLibrary &lib,
              const std::vector<std::size_t> &order,
-             std::size_t blockSize, bool stopEarly,
+             std::size_t blockSize, BarrierMode mode,
              const std::function<void(std::size_t, const WindowResult *)>
                  &foldPoint,
              const std::function<std::uint64_t(std::size_t)> &foldBarrier,
@@ -349,13 +404,30 @@ class ReplayEngine
     unsigned threads_;
     unsigned producers_;
     std::size_t ringSlots_;
+    /**
+     * One decode ring entry. Slot j % S holds schedule position j;
+     * nextFill sequences the producers, holds tells a waiting worker
+     * its point has arrived.
+     */
+    struct Slot
+    {
+        LivePoint point;
+        std::size_t holds = 0;
+        std::size_t nextFill = 0;
+        bool full = false;
+    };
+
     std::vector<std::unique_ptr<ReplayContext>> ctx_; //!< one per worker
+    std::vector<Slot> ring_; //!< reused across runs
+    /** Per-producer chain cache (reset at the start of every run). */
+    std::vector<LivePointDecodeScratch> producerScratch_;
     std::vector<std::unique_ptr<ReplayContext>> callerCtx_;
     LivePointDecodeScratch callerScratch_;
     LivePoint callerPoint_;
     std::uint64_t residentBudget_;
     std::atomic<std::uint64_t> bytesDecoded_{0};
     std::atomic<std::uint64_t> pointsDecoded_{0};
+    std::atomic<std::uint64_t> recordsDecoded_{0};
     std::atomic<std::uint64_t> replaysExecuted_{0};
     std::atomic<std::uint64_t> peakResidentBytes_{0};
     std::unique_ptr<ThreadPool> ownedPool_;

@@ -200,7 +200,9 @@ runLivePoints(const Program &prog, const LivePointLibrary &lib,
             opt.blockSize ? opt.blockSize : defaultFoldBlock;
         RunningStat block;
         engine.run(
-            lib, order, blockSize, opt.stopAtConfidence,
+            lib, order, blockSize,
+            opt.stopAtConfidence ? BarrierMode::stopEarly
+                                 : BarrierMode::passive,
             [&](std::size_t, const WindowResult *w) {
                 block.add(w->cpi);
                 res.unavailableLoads += w->unavailableLoads;
@@ -251,7 +253,9 @@ runMatchedPair(const Program &prog, const LivePointLibrary &lib,
         const std::size_t blockSize =
             opt.blockSize ? opt.blockSize : defaultFoldBlock;
         engine.run(
-            lib, order, blockSize, opt.stopAtConfidence,
+            lib, order, blockSize,
+            opt.stopAtConfidence ? BarrierMode::stopEarly
+                                 : BarrierMode::passive,
             [&](std::size_t, const WindowResult *w) {
                 baseStat.add(w[0].cpi);
                 testStat.add(w[1].cpi);

@@ -94,7 +94,7 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
     }
     if (!pilotOrder.empty()) {
         engine.run(
-            lib, pilotOrder, pilotOrder.size(), false,
+            lib, pilotOrder, pilotOrder.size(), BarrierMode::passive,
             [&](std::size_t i, const WindowResult *w) {
                 strat[pilotStratum[i]].add(w->cpi);
                 ++res.processed;

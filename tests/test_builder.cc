@@ -99,7 +99,7 @@ main()
         CHECK_EQ(builder.stats().shards, shards);
         CHECK(builder.stats().prePassInsts > 0);
 
-        Blob scratchA, scratchB;
+        LivePointDecodeScratch scratchA, scratchB;
         LivePoint pa, pb;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             seqLib.decodeInto(i, scratchA, pa);
@@ -142,7 +142,7 @@ main()
         LivePointBuilder builder(bc);
         const LivePointLibrary lib = builder.build(prog, design);
         CHECK_EQ(lib.size(), design.count);
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint p;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             lib.decodeInto(i, scratch, p);
@@ -199,7 +199,7 @@ main()
         // Every point decodes to the sequential plain build's bytes
         // (encoding never changes content).
         LivePointDecodeScratch scratch;
-        Blob plainScratch;
+        LivePointDecodeScratch plainScratch;
         LivePoint pc, pp;
         for (std::size_t i = 0; i < crossSeqLib.size(); ++i) {
             crossSeqLib.decodeInto(i, scratch, pc);

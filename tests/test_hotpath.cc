@@ -296,7 +296,7 @@ zeroAllocSteadyState()
     // Single-configuration path.
     {
         ReplayContext ctx(t.prog, lptest::baseConfig());
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint point;
         std::vector<WindowResult> warm(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -321,7 +321,7 @@ zeroAllocSteadyState()
                           std::vector<CoreConfig>{
                               lptest::baseConfig(),
                               lptest::slowMemConfig()});
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint point;
         for (std::size_t i = 0; i < n; ++i) {
             t.lib.decodeInto(i, scratch, point);
@@ -343,6 +343,71 @@ zeroAllocSteadyState()
     }
 }
 
+/**
+ * The same contract through the engine on delta-encoded libraries in
+ * shuffled fold order, at one and two decode producers: once warm, a
+ * run allocates a fixed handful of per-run buffers and nothing per
+ * point — not in the chain walk, not in the delta codec's chunk
+ * table, not in the ring. Replaying a 48-point library must allocate
+ * exactly as often as replaying a 12-point one of the same program.
+ * With chains of at most 4 the small run decompresses at most 30
+ * records (3 chains of depths 1..4) and the large one at least 48, so
+ * any per-record allocation breaks the equality.
+ */
+void
+zeroAllocDeltaEngine()
+{
+    auto deltaLib = [](std::uint64_t windows) {
+        return lptest::buildTinyLibrary(
+            "hotpath-delta", 60'000, 31, windows, {lptest::baseConfig()},
+            0, [](LivePointBuilderConfig &bc) {
+                bc.deltaEncode = true;
+                bc.maxDeltaChain = 4;
+            });
+    };
+    const lptest::TinyLib small = deltaLib(12);
+    const lptest::TinyLib large = deltaLib(48);
+    CHECK(small.lib.deltaCount() > 0);
+    const std::vector<std::size_t> smallOrder =
+        replayOrder(small.lib.size(), 7);
+    const std::vector<std::size_t> largeOrder =
+        replayOrder(large.lib.size(), 7);
+
+    for (const unsigned producers : {1u, 2u}) {
+        ReplayEngineOptions opt;
+        opt.threads = 1;
+        opt.decodeThreads = producers;
+        ReplayEngine engine(small.prog, {lptest::baseConfig()}, opt);
+        double cpiSum = 0.0;
+        const std::function<void(std::size_t, const WindowResult *)>
+            fold = [&cpiSum](std::size_t, const WindowResult *w) {
+                cpiSum += w->cpi;
+            };
+        const std::function<std::uint64_t(std::size_t)> barrier =
+            [](std::size_t) { return replayMaskAll(1); };
+        auto allocsOf = [&](const lptest::TinyLib &t,
+                            const std::vector<std::size_t> &order,
+                            BarrierMode mode) {
+            const std::uint64_t before =
+                gAllocs.load(std::memory_order_relaxed);
+            engine.run(t.lib, order, 4, mode, fold, barrier);
+            return gAllocs.load(std::memory_order_relaxed) - before;
+        };
+        for (const BarrierMode mode :
+             {BarrierMode::passive, BarrierMode::stopEarly}) {
+            // Warm: every slot and context reaches its high water.
+            for (int pass = 0; pass < 2; ++pass) {
+                allocsOf(small, smallOrder, mode);
+                allocsOf(large, largeOrder, mode);
+            }
+            const std::uint64_t a = allocsOf(small, smallOrder, mode);
+            const std::uint64_t b = allocsOf(large, largeOrder, mode);
+            CHECK_EQ(a, b);
+        }
+        CHECK(cpiSum > 0.0);
+    }
+}
+
 } // namespace
 
 int
@@ -352,5 +417,6 @@ main()
     overlayEquivalence();
     memoryImageFlatPath();
     zeroAllocSteadyState();
+    zeroAllocDeltaEngine();
     return TEST_MAIN_RESULT();
 }

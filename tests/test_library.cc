@@ -163,7 +163,7 @@ main()
                 CHECK_EQ(b.contentHash(), lib.contentHash());
                 for (std::size_t i = 0; i < lib.size(); ++i)
                     CHECK_EQ(b.rawSize(i), lib.rawSize(i));
-                Blob scratch;
+                LivePointDecodeScratch scratch;
                 LivePoint pt;
                 for (const std::size_t i :
                      {std::size_t{0}, lib.size() / 2,
@@ -197,7 +197,7 @@ main()
         CHECK_EQ(old.size(), lib.size());
         CHECK_EQ(old.totalCompressedBytes(),
                  lib.totalCompressedBytes());
-        Blob scratchA, scratchB;
+        LivePointDecodeScratch scratchA, scratchB;
         LivePoint pa, pb;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             CHECK_EQ(old.compressedSize(i), lib.compressedSize(i));
@@ -785,7 +785,7 @@ main()
             CHECK(identicalRecords(s4, cross.lib));
             CHECK(s4.deltaCount() > 0);
             LivePointDecodeScratch sa;
-            Blob sb;
+            LivePointDecodeScratch sb;
             LivePoint pa, pb;
             for (std::size_t i = 0; i < s4.size(); ++i) {
                 s4.decodeInto(i, sa, pa);

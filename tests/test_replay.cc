@@ -19,6 +19,51 @@
 #include "core/runners.hh"
 #include "core/stratified.hh"
 
+namespace
+{
+
+/**
+ * The sequential reference for runLivePoints: decode every point with
+ * decodeInto in fold order on the calling thread, simulate it on one
+ * pooled context, and fold with the runner's block rule.
+ */
+lp::LivePointRunResult
+sequentialReference(const lp::Program &prog, const lp::LivePointLibrary &lib,
+                    const lp::CoreConfig &cfg,
+                    const lp::LivePointRunOptions &opt)
+{
+    using namespace lp;
+    const std::vector<std::size_t> order =
+        replayOrder(lib.size(), opt.shuffleSeed);
+    const std::size_t blockSize =
+        opt.blockSize ? opt.blockSize : defaultFoldBlock;
+    OnlineEstimator estimator(opt.spec);
+    ReplayContext ctx(prog, cfg);
+    LivePointDecodeScratch scratch;
+    LivePoint point;
+    RunningStat block;
+    LivePointRunResult res;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        lib.decodeInto(order[k], scratch, point);
+        const WindowResult w = ctx.simulate(point);
+        block.add(w.cpi);
+        res.unavailableLoads += w.unavailableLoads;
+        ++res.processed;
+        if (opt.recordTrajectory)
+            res.trajectory.push_back(estimator.preview(block));
+        if ((k + 1) % blockSize == 0 || k + 1 == order.size()) {
+            const OnlineSnapshot snap = estimator.fold(block);
+            block = RunningStat();
+            if (opt.stopAtConfidence && snap.satisfied)
+                break;
+        }
+    }
+    res.finalSnapshot = estimator.snapshot();
+    return res;
+}
+
+} // namespace
+
 int
 main()
 {
@@ -54,7 +99,7 @@ main()
 
     // decodeInto with recycled buffers matches get().
     {
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint reused;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             lib.decodeInto(i, scratch, reused);
@@ -293,6 +338,111 @@ main()
             }
         }
         std::remove(path.c_str());
+    }
+
+    // Chain-coherent decode: a delta library (view-shuffled, so file
+    // order differs from stored order) replayed in shuffled fold
+    // order must match the sequential decodeInto reference bit for
+    // bit — estimate, stopping point, trajectory — across workers x
+    // decode producers x stopping x resident budget, whatever order
+    // the engine decodes in. The small budget is the largest fold
+    // block's chain charge, the least that still admits every block
+    // whole, so the peak must stay under it.
+    {
+        TinyLib td = buildTinyLibrary(
+            "replaytest", 500'000, 17, 64, {cfg}, 11,
+            [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
+        const LivePointLibrary &dlib = td.lib;
+        CHECK(dlib.deltaCount() > 0);
+
+        LivePointRunOptions ref;
+        ref.shuffleSeed = 5;
+        ref.blockSize = 8;
+        ref.recordTrajectory = true;
+        ref.spec = ConfidenceSpec{0.95, 0.20};
+        const std::vector<std::size_t> order =
+            replayOrder(dlib.size(), ref.shuffleSeed);
+        std::uint64_t smallBudget = 0;
+        for (std::size_t b = 0; b < order.size(); b += ref.blockSize) {
+            std::uint64_t charge = 0;
+            for (std::size_t k = b;
+                 k < std::min(order.size(), b + ref.blockSize); ++k)
+                charge += dlib.chargeBytes(order[k]);
+            smallBudget = std::max(smallBudget, charge);
+        }
+
+        for (const bool stopping : {false, true}) {
+            LivePointRunOptions sref = ref;
+            sref.stopAtConfidence = stopping;
+            const LivePointRunResult base =
+                sequentialReference(prog, dlib, cfg, sref);
+            if (stopping)
+                CHECK(base.processed < dlib.size());
+            else
+                CHECK_EQ(base.processed, dlib.size());
+            for (const std::uint64_t budget :
+                 {std::uint64_t{0}, smallBudget}) {
+                for (const unsigned threads : {1u, 2u, 4u}) {
+                    for (const unsigned producers : {1u, 2u, 3u}) {
+                        LivePointRunOptions opt = sref;
+                        opt.threads = threads;
+                        opt.decodeThreads = producers;
+                        opt.residentBudgetBytes = budget;
+                        const LivePointRunResult r =
+                            runLivePoints(prog, dlib, cfg, opt);
+                        CHECK_EQ(r.processed, base.processed);
+                        CHECK_NEAR(r.cpi(), base.cpi(), 0.0);
+                        CHECK_NEAR(r.finalSnapshot.relHalfWidth,
+                                   base.finalSnapshot.relHalfWidth, 0.0);
+                        CHECK_EQ(r.unavailableLoads,
+                                 base.unavailableLoads);
+                        CHECK_EQ(r.trajectory.size(),
+                                 base.trajectory.size());
+                        for (std::size_t i = 0;
+                             i < std::min(r.trajectory.size(),
+                                          base.trajectory.size());
+                             ++i) {
+                            CHECK_NEAR(r.trajectory[i].mean,
+                                       base.trajectory[i].mean, 0.0);
+                            CHECK_NEAR(r.trajectory[i].relHalfWidth,
+                                       base.trajectory[i].relHalfWidth,
+                                       0.0);
+                        }
+                        if (budget)
+                            CHECK(r.peakResidentBytes <= budget);
+                    }
+                }
+            }
+        }
+
+        // Decode counts: an unbudgeted run whose barrier never cuts is
+        // one file-order span, and producers claim whole chain
+        // stretches, so every delta decodes from the base its
+        // producer decoded just before it — one record per point at
+        // any producer count. A cutting barrier decodes block by
+        // block, walking chains whose base sits in another block.
+        for (const unsigned producers : {1u, 2u, 3u}) {
+            ReplayEngineOptions eo;
+            eo.threads = 2;
+            eo.decodeThreads = producers;
+            ReplayEngine engine(prog, {cfg}, eo);
+            RunningStat all;
+            auto fold = [&all](std::size_t, const WindowResult *w) {
+                all.add(w->cpi);
+            };
+            auto keepAll = [](std::size_t) { return replayMaskAll(1); };
+            engine.run(dlib, order, ref.blockSize, BarrierMode::passive,
+                       fold, keepAll);
+            CHECK_EQ(engine.pointsDecoded(), dlib.size());
+            CHECK_EQ(engine.recordsDecoded(), dlib.size());
+            CHECK_NEAR(all.mean(),
+                       sequentialReference(prog, dlib, cfg, ref).cpi(),
+                       1e-12);
+            engine.run(dlib, order, ref.blockSize, BarrierMode::cutting,
+                       fold, keepAll);
+            CHECK_EQ(engine.pointsDecoded(), 2 * dlib.size());
+            CHECK(engine.recordsDecoded() > 2 * dlib.size());
+        }
     }
 
     // Stratified: the parallel pilot leaves every greedy decision —
